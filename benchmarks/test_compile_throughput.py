@@ -1,29 +1,26 @@
-"""Perf gate: compiled inference plans vs eager no-grad forwards.
+"""Perf gate: the raw-ndarray inference forward vs the ``Tensor`` reference.
 
-Replays the paper's Fig. 4 S2 regime — wide cloud tables split into many
-small chunks — through ``run_grouped`` twice per trial: once eager (no
-plan cache attached) and once through ``repro.nn.compile`` plans, with
+Runs the paper's Fig. 4 S2 regime — wide cloud tables split into many
+small chunks — through ``run_grouped`` twice per trial: once through the
+autograd ``Tensor`` forward under ``no_grad`` (``reference=True``) and
+once through the models' ``infer_phase1``/``infer_phase2``, with
 identical requests. Results go to ``BENCH_compile.json`` at the repo
 root (atomic write; CI uploads it as an artifact).
 
-The gate is **capability**: the compiled path must beat the eager
-no-grad path by >= 1.25x in at least one of the interleaved trials
-(best-of-N guards against transient load penalizing one arm). The
-workload runs batch-of-1 forwards on purpose: that is where the
-trace-once/replay-many design pays — per-forward Tensor/autograd object
-churn and fresh allocations dominate small chunks, while big coalesced
-batches are GEMM-bound either way (the batching gate next door covers
-those). Predictions must be bitwise identical between the two arms; a
-perf win that changes results is a bug, not a win.
+The gate is **capability**: the infer path must beat the reference by
+>= 1.25x in at least one of the interleaved trials (best-of-N guards
+against transient load penalizing one arm). The workload runs
+batch-of-1 forwards on purpose: that is where skipping the ``Tensor``
+wrapping and module dispatch pays — per-forward object churn dominates
+small chunks, while big coalesced batches are GEMM-bound either way (the
+batching gate next door covers those). Predictions must be bitwise
+identical between the two arms; a perf win that changes results is a
+bug, not a win.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,13 +36,12 @@ from repro.features import (
     offline_metadata,
     split_metadata,
 )
-from repro.nn import compile as nn_compile
-from repro.obs import MetricsRegistry
 from repro.sched import Phase1Request, Phase2Request, bucket_width, run_grouped
 from repro.text import Tokenizer
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULT_PATH = REPO_ROOT / "BENCH_compile.json"
+from _harness import result_path, write_result_atomic
+
+RESULT_PATH = result_path("compile")
 
 NUM_TABLES = 32
 TRIALS = 5
@@ -58,7 +54,7 @@ def workload():
 
     Chunking mirrors the detector's split pipeline (``split_metadata``
     at the featurizer's ``column_split_threshold``), so request widths
-    land on the same bucket ladder the plan cache is keyed by.
+    land on the same bucket ladder the detector pads to.
     """
     registry = default_registry()
     rng = np.random.default_rng(0)
@@ -130,78 +126,52 @@ def workload():
                 )
             )
             offset += num_columns
-    return model, requests, encoder.max_seq_len
+    return model, requests
 
 
-def _write_result_atomic(path: Path, payload: dict) -> None:
-    """Publish a result file atomically (temp file + ``os.replace``)."""
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def _run(model, requests, compiled, width_cap):
-    """Time one full pass of batch-of-1 forwards in the requested mode."""
-    if compiled:
-        nn_compile.enable(model, metrics=MetricsRegistry(), width_cap=width_cap)
-    else:
-        nn_compile.disable(model)
+def _run(model, requests, reference):
+    """Time one full pass of batch-of-1 forwards through one forward."""
     started = time.perf_counter()
-    results = run_grouped(model, requests, coalesce=False)
+    results = run_grouped(model, requests, coalesce=False, reference=reference)
     return time.perf_counter() - started, results
 
 
 def test_compile_throughput(workload):
-    model, requests, width_cap = workload
+    model, requests = workload
     num_columns = sum(request.num_columns for request in requests)
-    try:
-        # Warm up both arms — the compiled pass builds and verifies every
-        # plan on the ladder, so the timed trials measure pure replay.
-        _, reference = _run(model, requests, False, width_cap)
-        _, compiled = _run(model, requests, True, width_cap)
-        assert all(
-            ref.probs.tobytes() == got.probs.tobytes()
-            for ref, got in zip(reference, compiled)
-        ), "compiled predictions diverged from eager — the perf win is void"
+    # Warm up both arms (memo caches, allocator).
+    _, reference = _run(model, requests, True)
+    _, infer = _run(model, requests, False)
+    assert all(
+        ref.probs.tobytes() == got.probs.tobytes()
+        for ref, got in zip(reference, infer)
+    ), "infer predictions diverged from the Tensor reference — the perf win is void"
 
-        pairs = []
-        for _ in range(TRIALS):
-            eager_seconds, _ = _run(model, requests, False, width_cap)
-            compiled_seconds, _ = _run(model, requests, True, width_cap)
-            pairs.append((eager_seconds, compiled_seconds))
-    finally:
-        nn_compile.disable(model)
+    pairs = []
+    for _ in range(TRIALS):
+        reference_seconds, _ = _run(model, requests, True)
+        infer_seconds, _ = _run(model, requests, False)
+        pairs.append((reference_seconds, infer_seconds))
 
-    best_eager = min(eager for eager, _ in pairs)
-    best_compiled = min(comp for _, comp in pairs)
-    best_speedup = max(eager / comp for eager, comp in pairs)
+    best_reference = min(ref for ref, _ in pairs)
+    best_infer = min(inf for _, inf in pairs)
+    best_speedup = max(ref / inf for ref, inf in pairs)
     result = {
         "num_tables": NUM_TABLES,
         "num_requests": len(requests),
         "num_columns": num_columns,
         "trials": TRIALS,
-        "eager_cols_per_sec": round(num_columns / best_eager, 1),
-        "compiled_cols_per_sec": round(num_columns / best_compiled, 1),
+        "reference_cols_per_sec": round(num_columns / best_reference, 1),
+        "infer_cols_per_sec": round(num_columns / best_infer, 1),
         "best_speedup": round(best_speedup, 3),
         "pairs": [
-            {"eager_seconds": round(eager, 4), "compiled_seconds": round(comp, 4)}
-            for eager, comp in pairs
+            {"reference_seconds": round(ref, 4), "infer_seconds": round(inf, 4)}
+            for ref, inf in pairs
         ],
     }
-    _write_result_atomic(RESULT_PATH, result)
+    write_result_atomic(RESULT_PATH, result)
 
     assert best_speedup >= MIN_SPEEDUP, (
-        f"compiled speedup {best_speedup:.2f}x never reached "
+        f"infer speedup {best_speedup:.2f}x never reached "
         f"{MIN_SPEEDUP:.2f}x across {TRIALS} trials: {result['pairs']}"
     )

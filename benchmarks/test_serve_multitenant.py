@@ -15,12 +15,12 @@ Two claims of the serving layer are measured with a tiny untrained model
   for every job: every requested table present, failures only as
   degraded/failed markers, never a crashed job or a wedged scheduler.
 
-Numbers are written to ``BENCH_serve.json`` for the CI artifact.
+Numbers are written to ``BENCH_serve.json`` at the repo root for the CI
+artifact.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -40,6 +40,8 @@ from repro.features import FeatureConfig, Featurizer, corpus_texts
 from repro.obs import MetricsRegistry, Tracer
 from repro.serve import DetectionService, ServiceConfig, TenantQuota
 from repro.text import Tokenizer
+
+from _harness import result_path, write_result_atomic
 
 TENANTS = 4
 JOBS_PER_TENANT = 3
@@ -136,8 +138,7 @@ def test_service_throughput_vs_direct(tmp_path):
         "service_wall_seconds": service_wall,
         "service_vs_direct": slowdown,
     }
-    with open("BENCH_serve.json", "w") as out:
-        json.dump(record, out, indent=2)
+    write_result_atomic(result_path("serve"), record)
     assert slowdown <= MAX_SLOWDOWN, (
         f"service path {slowdown:.2f}x slower than direct detect "
         f"(limit {MAX_SLOWDOWN}x): {record}"

@@ -21,8 +21,6 @@ that changes results is a bug, not a win.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import time
 from pathlib import Path
 
@@ -44,8 +42,9 @@ from repro.db import CloudDatabaseServer, CostModel
 from repro.features import FeatureConfig, Featurizer, corpus_texts
 from repro.text import Tokenizer
 
-REPO_ROOT = Path(__file__).resolve().parents[1]
-RESULT_PATH = REPO_ROOT / "BENCH_throughput.json"
+from _harness import result_path, write_result_atomic
+
+RESULT_PATH = result_path("throughput")
 BASELINE_PATH = Path(__file__).resolve().parent / "throughput_baseline.json"
 
 NUM_TABLES = 32
@@ -89,28 +88,6 @@ def workload():
     return tables, featurizer, model
 
 
-def _write_result_atomic(path: Path, payload: dict) -> None:
-    """Publish a result file atomically (temp file + ``os.replace``).
-
-    CI consumers read these JSON artifacts while the suite may still be
-    running; a plain ``write_text`` can expose a torn, half-written file.
-    """
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
 def _run(tables, featurizer, model, batching_enabled, compiled=False):
     server = CloudDatabaseServer.from_tables(tables, CostModel(time_scale=0.0))
     detector = TasteDetector(
@@ -147,11 +124,13 @@ def test_throughput_batching(workload):
     assert _prediction_bytes(warm_on) == _prediction_bytes(warm_off), (
         "batched and unbatched predictions diverged — the perf win is void"
     )
-    # The compiled variant rides along for the record (gated separately in
+    # The batched/unbatched arms run the Tensor reference forward
+    # (compile.enabled=False). The "compiled" variant, the raw-ndarray
+    # infer forward, rides along for the record (gated separately in
     # test_compile_throughput.py) but must agree bitwise here too.
     _, warm_compiled = _run(tables, featurizer, model, True, compiled=True)
     assert _prediction_bytes(warm_compiled) == _prediction_bytes(warm_on), (
-        "compiled predictions diverged from eager — the perf win is void"
+        "infer predictions diverged from the reference — the perf win is void"
     )
     num_columns = warm_on.num_columns
 
@@ -184,7 +163,7 @@ def test_throughput_batching(workload):
         ],
         "compiled_seconds": [round(s, 4) for s in compiled_seconds],
     }
-    _write_result_atomic(RESULT_PATH, result)
+    write_result_atomic(RESULT_PATH, result)
 
     assert best_speedup >= MIN_SPEEDUP, (
         f"batching speedup {best_speedup:.2f}x never reached "

@@ -634,8 +634,7 @@ class FreshAllocationInNoGradLoop(Rule):
     name = "nn-fresh-allocation-in-no-grad-loop"
     description = (
         "np.zeros/np.empty/np.concatenate allocated inside a loop on a "
-        "repro.nn no-grad path; hoist the buffer or use a workspace arena "
-        "with out= kernels (repro.nn.compile)"
+        "repro.nn no-grad path; hoist the buffer out of the loop"
     )
 
     _ALLOCATORS = ("zeros", "empty", "concatenate")
@@ -660,9 +659,6 @@ class FreshAllocationInNoGradLoop(Rule):
         return False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # The compiled-replay engine is *all* no-grad hot path: every
-        # fresh allocation there belongs in the plan's arena.
-        whole_file = ctx.rel.replace("\\", "/").endswith("repro/nn/compile.py")
         for node in ast.walk(ctx.tree):
             if not (
                 isinstance(node, ast.Call)
@@ -683,8 +679,7 @@ class FreshAllocationInNoGradLoop(Rule):
             if not in_loop:
                 continue
             if not (
-                whole_file
-                or (function is not None and _under_no_grad(node, function))
+                (function is not None and _under_no_grad(node, function))
                 or self._in_no_grad_branch(node, function)
             ):
                 continue
@@ -693,8 +688,7 @@ class FreshAllocationInNoGradLoop(Rule):
                 node,
                 f"np.{node.func.attr}(...) inside a loop on a no-grad path "
                 "allocates a fresh buffer every iteration; hoist it out of "
-                "the loop or reuse a workspace-arena buffer through the "
-                "out=-capable kernels",
+                "the loop and reuse it through the out=-capable kernels",
             )
 
 

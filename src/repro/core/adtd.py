@@ -85,10 +85,10 @@ class ADTDModel(nn.Module):
     # ------------------------------------------------------------------
     # Embedding
     # ------------------------------------------------------------------
-    def embed(
-        self, token_ids: np.ndarray, segment_ids: np.ndarray, column_ids: np.ndarray
-    ) -> nn.Tensor:
-        """Sum token/position/segment/column embeddings, normalize, drop."""
+    def _embedding_ids(
+        self, token_ids: np.ndarray, column_ids: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Position ids and clamped column ids for one token stream."""
         seq_len = token_ids.shape[1]
         if seq_len > self.config.encoder.max_seq_len:
             raise ValueError(
@@ -96,7 +96,13 @@ class ADTDModel(nn.Module):
                 f"{self.config.encoder.max_seq_len}"
             )
         positions = np.broadcast_to(np.arange(seq_len), token_ids.shape)
-        column_ids = np.minimum(column_ids, self.config.max_column_id - 1)
+        return positions, np.minimum(column_ids, self.config.max_column_id - 1)
+
+    def embed(
+        self, token_ids: np.ndarray, segment_ids: np.ndarray, column_ids: np.ndarray
+    ) -> nn.Tensor:
+        """Sum token/position/segment/column embeddings, normalize, drop."""
+        positions, column_ids = self._embedding_ids(token_ids, column_ids)
         hidden = (
             self.token_embedding(token_ids)
             + self.position_embedding(positions)
@@ -104,6 +110,17 @@ class ADTDModel(nn.Module):
             + self.column_embedding(column_ids)
         )
         return self.embedding_dropout(self.embedding_norm(hidden))
+
+    def infer_embed(
+        self, token_ids: np.ndarray, segment_ids: np.ndarray, column_ids: np.ndarray
+    ) -> np.ndarray:
+        """No-grad :meth:`embed` on raw ndarrays (bitwise identical)."""
+        positions, column_ids = self._embedding_ids(token_ids, column_ids)
+        hidden = self.token_embedding.infer(token_ids)
+        hidden += self.position_embedding.infer(positions)
+        hidden += self.segment_embedding.infer(segment_ids)
+        hidden += self.column_embedding.infer(column_ids)
+        return self.embedding_norm.infer(hidden, out=hidden)
 
     # ------------------------------------------------------------------
     # Towers
@@ -184,14 +201,7 @@ class ADTDModel(nn.Module):
         directly from step one, while attention supplies cross-column and
         table context — the role split the baselines use as well.
         """
-        num_columns = batch.col_positions.shape[1]
-        pooling = nn.Tensor(
-            _POOLING_MEMO.get(
-                (column_ids, padding_mask, np.asarray(num_columns)),
-                _build_pooling,
-            )
-        )
-        return pooling @ hidden
+        return nn.Tensor(_pooling(column_ids, padding_mask, batch)) @ hidden
 
     def forward(self, batch: Batch) -> tuple[nn.Tensor, nn.Tensor]:
         """Full double-tower pass: ``(meta_logits, content_logits)``."""
@@ -201,6 +211,45 @@ class ADTDModel(nn.Module):
             self.meta_logits(batch, meta_layers),
             self.content_logits(batch, meta_layers, content_hidden),
         )
+
+    # ------------------------------------------------------------------
+    # No-grad inference (raw ndarrays)
+    # ------------------------------------------------------------------
+    # The two phases of paper Fig. 4 as plain numpy: the same operations
+    # on the same operands as the Tensor forward above, so the logits are
+    # bitwise identical to it, without building any autograd objects.
+    # Every call reads the live parameter arrays; nothing is cached.
+    def infer_metadata(self, batch: Batch) -> list[np.ndarray]:
+        """No-grad :meth:`encode_metadata`: ``[Encode_0^{M_t}, ..., Encode_L^{M_t}]``."""
+        hidden = self.infer_embed(batch.meta_ids, batch.meta_segments, batch.meta_column_ids)
+        mask = F.additive_attention_mask(batch.meta_mask)
+        layers = [hidden]
+        for block in self.encoder.blocks:
+            hidden = block.infer(hidden, attention_mask=mask)
+            layers.append(hidden)
+        return layers
+
+    def infer_phase1(self, batch: Batch) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Phase-1 logits and the metadata tower's per-layer outputs."""
+        layers = self.infer_metadata(batch)
+        col_repr = _pooling(batch.meta_column_ids, batch.meta_mask, batch) @ layers[-1]
+        features = np.concatenate([col_repr, batch.numeric], axis=-1)
+        return self.meta_classifier.infer(features), layers
+
+    def infer_phase2(self, batch: Batch, meta_layers: list[np.ndarray]) -> np.ndarray:
+        """Phase-2 logits against (possibly cached) metadata latents."""
+        hidden = self.infer_embed(
+            batch.content_ids, batch.content_segments, batch.content_column_ids
+        )
+        joint_padding = np.concatenate([batch.meta_mask, batch.content_mask], axis=1)
+        joint_mask = F.additive_attention_mask(joint_padding)
+        for index, block in enumerate(self.encoder.blocks):
+            kv_states = np.concatenate([meta_layers[index], hidden], axis=1)
+            hidden = block.infer(hidden, kv_states, joint_mask)
+        meta_repr = _pooling(batch.meta_column_ids, batch.meta_mask, batch) @ meta_layers[-1]
+        content_repr = _pooling(batch.content_column_ids, batch.content_mask, batch) @ hidden
+        features = np.concatenate([content_repr, meta_repr, batch.numeric], axis=-1)
+        return self.content_classifier.infer(features)
 
     # ------------------------------------------------------------------
     # Pre-training head
@@ -229,6 +278,13 @@ def _build_pooling(
     column_ids: np.ndarray, padding_mask: np.ndarray, num_columns: np.ndarray
 ) -> np.ndarray:
     return column_pooling_matrix(column_ids, padding_mask, int(num_columns))
+
+
+def _pooling(column_ids: np.ndarray, padding_mask: np.ndarray, batch: Batch) -> np.ndarray:
+    num_columns = batch.col_positions.shape[1]
+    return _POOLING_MEMO.get(
+        (column_ids, padding_mask, np.asarray(num_columns)), _build_pooling
+    )
 
 
 def column_pooling_matrix(

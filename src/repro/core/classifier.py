@@ -32,3 +32,7 @@ class ClassifierHead(nn.Module):
 
     def forward(self, features: nn.Tensor) -> nn.Tensor:
         return self.output(self.hidden(features).relu())
+
+    def infer(self, features: np.ndarray) -> np.ndarray:
+        hidden = self.hidden.infer(features)
+        return self.output.infer(nn.functional.relu_(hidden, out=hidden))

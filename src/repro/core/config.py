@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..faults.retry import RetryPolicy
-from ..nn.compile import CompileConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.plan import FaultPlan
@@ -75,6 +74,23 @@ class BatchingConfig:
 
     def replace(self, **changes: Any) -> "BatchingConfig":
         """A modified copy (re-validated)."""
+        return replace(self, **changes)
+
+
+@dataclass(frozen=True)
+class CompileConfig:
+    """Which model forward the detector's inference runs.
+
+    ``enabled=True`` (the default) runs the raw-ndarray no-grad forward
+    (``ADTDModel.infer_phase1``/``infer_phase2``); ``False`` runs the
+    autograd ``Tensor`` forward under ``no_grad``, the reference it is
+    bitwise identical to. The choice applies to one detector only.
+    """
+
+    enabled: bool = True
+
+    def replace(self, **changes: Any) -> "CompileConfig":
+        """A modified copy."""
         return replace(self, **changes)
 
 

@@ -41,7 +41,6 @@ from ..db.server import CloudDatabaseServer
 from ..errors import LegacyAPIError, RetryGiveUpError
 from ..faults.plan import FaultInjector
 from ..features.encoding import Featurizer
-from ..nn import compile as nn_compile
 from ..obs import Tracer, write_spans_jsonl
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
 from ..sched.batcher import InferenceBatcher
@@ -110,11 +109,19 @@ class TasteDetector:
             enabled=self.config.caching,
             metrics=self.metrics,
         )
+        # compile.enabled=False selects the autograd Tensor reference
+        # forward for this detector only; the model itself holds no state.
+        self._reference_forward = not self.config.compile.enabled
         # The cross-table batcher only helps when several tables are in
         # flight at once, i.e. under the pipelined executor; sequential
         # runs go through the same width-bucketed forwards locally.
         self.batcher = (
-            InferenceBatcher(model, self.config.batching, metrics=self.metrics)
+            InferenceBatcher(
+                model,
+                self.config.batching,
+                metrics=self.metrics,
+                reference=self._reference_forward,
+            )
             if (self.config.batching.enabled and self.config.pipelined)
             else None
         )
@@ -129,23 +136,6 @@ class TasteDetector:
         )
         self._width_cap = model.config.encoder.max_seq_len
         self.model.eval()
-        # Shape-specialized compiled inference (repro.nn.compile): plans
-        # are keyed off the same bucket-width ladder bucketed_width()
-        # routes requests through, so every execution mode (sequential,
-        # unbatched, batched, served) hits the same plan cache. A
-        # detector configured with compile.enabled=False detaches any
-        # cache so *its* runs are guaranteed eager.
-        if self.config.compile.enabled:
-            nn_compile.enable(
-                model,
-                self.config.compile,
-                metrics=self.metrics,
-                tracer=self.tracer,
-                pad_quantum=self.config.batching.pad_quantum,
-                width_cap=self._width_cap,
-            )
-        else:
-            nn_compile.disable(model)
 
     # ------------------------------------------------------------------
     # Read-only views kept for callers that inspected the old attributes.
@@ -190,7 +180,12 @@ class TasteDetector:
         batcher = self.batcher
         if batcher is not None and batcher.is_serving():
             return batcher.run(requests)
-        return run_grouped(self.model, requests, coalesce=self.config.batching.enabled)
+        return run_grouped(
+            self.model,
+            requests,
+            coalesce=self.config.batching.enabled,
+            reference=self._reference_forward,
+        )
 
     # ------------------------------------------------------------------
     def detect(
@@ -212,8 +207,9 @@ class TasteDetector:
         run then retries per the runtime's :class:`RetryPolicy` and, when
         retries are exhausted, degrades tables to their Phase-1 prediction
         instead of raising — see :meth:`DetectionReport.failure_summary`).
-        ``trace_out`` (kwarg or option) writes the tracer's spans as a
-        JSONL artifact after the run.
+        ``trace_out`` (kwarg or option) writes this call's spans — the
+        ``detect`` root and its descendants — as a JSONL artifact after
+        the run.
 
         The whole run executes under a root ``detect`` span; every stage
         span of every table (from either thread pool) descends from it.
@@ -244,7 +240,7 @@ class TasteDetector:
                 connection.close()
         wall = time.perf_counter() - started
         if options.trace_out is not None:
-            write_spans_jsonl(self.tracer.spans(), options.trace_out)
+            write_spans_jsonl(self.tracer.subtree(root), options.trace_out)
         results = [job.result for job in jobs]
         return DetectionReport(
             tables=results,

@@ -144,6 +144,4 @@ def apply_feedback(
             initial_loss = loss.item()
         final_loss = loss.item()
     model.eval()
-    # Feedback updates the weights in place; drop any compiled plans.
-    nn.compile.invalidate(model)
     return FeedbackStats(len(buffer), steps, initial_loss, final_loss)

@@ -138,7 +138,4 @@ def fine_tune(
             history.content_losses.append(epoch_content / batches)
     history.seconds = time.perf_counter() - started
     model.eval()
-    # Weights changed in place: compiled inference plans (if any) hold
-    # stale fused copies and must rebuild from the new weights.
-    nn.compile.invalidate(model)
     return history

@@ -317,7 +317,7 @@ def collate(
     # logits depending on whether it rode alone or coalesced with wider
     # chunks. GEMM results are row-stable for every M >= 2, so a phantom
     # masked column (zero pooling row, zero numeric features) makes
-    # batched, unbatched and compiled paths bitwise identical again.
+    # batched and unbatched paths bitwise identical again.
     max_cols = max(max(t.num_columns for t in tables), 2)
     col_positions = _pad_stack([t.meta.col_positions for t in tables], -1, max_cols)
     val_positions = _pad_stack([t.content.val_positions for t in tables], -1, max_cols)

@@ -15,12 +15,8 @@ from .serialization import load_checkpoint, load_state, save_checkpoint
 from .tensor import Tensor, is_grad_enabled, no_grad
 from .transformer import EncoderConfig, TransformerBlock, TransformerEncoder
 from . import functional
-from . import compile
-from .compile import CompileConfig
 
 __all__ = [
-    "CompileConfig",
-    "compile",
     "Tensor",
     "no_grad",
     "is_grad_enabled",

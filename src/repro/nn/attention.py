@@ -95,3 +95,25 @@ class MultiHeadAttention(Module):
         weights = self.attn_dropout(weights)
         context = self._merge_heads(weights @ value)
         return self.output_proj(context)
+
+    def infer(
+        self,
+        query_states: np.ndarray,
+        kv_states: np.ndarray,
+        attention_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """No-grad :meth:`forward` on raw ndarrays (bitwise identical)."""
+        batch, query_len, _ = query_states.shape
+        kv_len = kv_states.shape[1]
+        heads, head_dim = self.num_heads, self.head_dim
+        query = self.query_proj.infer(query_states).reshape(batch, query_len, heads, head_dim)
+        key = self.key_proj.infer(kv_states).reshape(batch, kv_len, heads, head_dim)
+        value = self.value_proj.infer(kv_states).reshape(batch, kv_len, heads, head_dim)
+        scores = query.swapaxes(1, 2) @ key.swapaxes(1, 2).swapaxes(2, 3)
+        # forward() multiplies by a Tensor, which casts the scale to float32.
+        scores *= np.float32(1.0 / np.sqrt(head_dim))
+        if attention_mask is not None:
+            scores += attention_mask
+        F.softmax_(scores, out=scores)
+        context = (scores @ value.swapaxes(1, 2)).swapaxes(1, 2)
+        return self.output_proj.infer(context.reshape(batch, query_len, self.hidden_size))

@@ -17,12 +17,12 @@ so these paths are the hot ones.
 
 The no-grad arithmetic lives in raw-ndarray kernels (``softmax_``,
 ``layer_norm_``, ``gelu_``, ``relu_``) with optional ``out=``/``scratch=``
-buffers. The eager fast paths call them with fresh buffers; the compiled
-replay paths (:mod:`repro.nn.compile`) call the *same* kernels with
-workspace-arena buffers — one implementation, so compiled and eager
-outputs are bitwise identical by construction. ``scratch`` must never
-alias ``x`` or ``out``; ``out`` may alias ``x`` (every kernel reads ``x``
-before, or in the same ufunc call as, the write).
+buffers. The ``Tensor`` fast paths call them with fresh buffers; the
+modules' raw-ndarray ``infer`` forwards call the *same* kernels, mostly
+in place (``out=x``) — one implementation, so both forwards are bitwise
+identical by construction. ``scratch`` must never alias ``x`` or
+``out``; ``out`` may alias ``x`` (every kernel reads ``x`` before, or in
+the same ufunc call as, the write).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ def softmax_(x: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np
 
     Same operand sequence as the autograd path (shift by max, exp,
     normalize), so the result is bitwise identical to it. ``out=x`` is the
-    fully in-place form used by compiled replays to reuse the
-    attention-score buffer.
+    fully in-place form the ``infer`` forwards use on the attention
+    scores.
     """
     shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
     np.exp(shifted, out=shifted)

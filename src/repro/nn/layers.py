@@ -1,4 +1,12 @@
-"""Basic neural network layers built on the autograd engine."""
+"""Basic neural network layers built on the autograd engine.
+
+Layers with parameters carry two forwards: :meth:`forward` on
+:class:`~repro.nn.tensor.Tensor` (autograd; the training path and the
+reference) and ``infer`` on raw ndarrays (the no-grad inference path).
+``infer`` reads ``param.data`` at call time and performs the same
+floating-point operations on the same operands as ``forward``, so the
+two agree bitwise and a weight update is visible to the next call.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +31,11 @@ class Linear(Module):
     def forward(self, x: Tensor) -> Tensor:
         return x @ self.weight + self.bias
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        out = x @ self.weight.data
+        out += self.bias.data
+        return out
+
 
 class Embedding(Module):
     """Token embedding table indexed by integer ids."""
@@ -33,6 +46,9 @@ class Embedding(Module):
 
     def forward(self, indices: np.ndarray) -> Tensor:
         return F.embedding_lookup(self.weight, indices)
+
+    def infer(self, indices: np.ndarray) -> np.ndarray:
+        return self.weight.data[np.asarray(indices)]
 
 
 class LayerNorm(Module):
@@ -46,6 +62,10 @@ class LayerNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.weight, self.bias, eps=self.eps)
+
+    def infer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Normalize ``x``; ``out=x`` normalizes in place."""
+        return F.layer_norm_(x, self.weight.data, self.bias.data, eps=self.eps, out=out)
 
 
 class Dropout(Module):

@@ -26,14 +26,6 @@ def load_state(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def load_checkpoint(module: Module, path: str | Path, strict: bool = True) -> Module:
-    """Load parameters from ``path`` into ``module`` in place.
-
-    Replacing the parameter arrays invalidates any compiled inference
-    plans attached to the module (they prefetch weight references and
-    fused copies at build time), so those are dropped here.
-    """
+    """Load parameters from ``path`` into ``module`` in place."""
     module.load_state_dict(load_state(path), strict=strict)
-    from .compile import invalidate
-
-    invalidate(module)
     return module

@@ -98,6 +98,29 @@ class TransformerBlock(Module):
         ffn = self.ffn_out(F.gelu(self.ffn_in(hidden)))
         return self.ffn_norm(hidden + self.hidden_dropout(ffn))
 
+    def infer(
+        self,
+        query_states: np.ndarray,
+        kv_states: np.ndarray | None = None,
+        attention_mask: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """No-grad :meth:`forward` on raw ndarrays (bitwise identical).
+
+        Writes only to buffers it allocated, never to its inputs, so the
+        caller may keep ``query_states`` (the metadata tower keeps every
+        layer's output for the latent cache).
+        """
+        if kv_states is None:
+            kv_states = query_states
+        hidden = self.attention.infer(query_states, kv_states, attention_mask)
+        hidden += query_states
+        self.attention_norm.infer(hidden, out=hidden)
+        ffn = self.ffn_in.infer(hidden)
+        F.gelu_(ffn, out=ffn)
+        ffn = self.ffn_out.infer(ffn)
+        ffn += hidden
+        return self.ffn_norm.infer(ffn, out=ffn)
+
 
 class TransformerEncoder(Module):
     """A stack of :class:`TransformerBlock` usable layer-by-layer.

@@ -192,6 +192,24 @@ class Tracer:
             if span.parent_id == parent.span_id:
                 yield span
 
+    def subtree(self, root: "Span | _NullSpan") -> list[Span]:
+        """Finished spans descending from ``root`` (itself included).
+
+        Completion order, like :meth:`spans`; a tracer shared by several
+        runs holds every run's spans, and this selects one run's.
+        """
+        spans = self.spans()
+        children: dict[int | None, list[int]] = {}
+        for span in spans:
+            children.setdefault(span.parent_id, []).append(span.span_id)
+        keep = {root.span_id}
+        stack = [root.span_id]
+        while stack:
+            for child in children.get(stack.pop(), ()):
+                keep.add(child)
+                stack.append(child)
+        return [span for span in spans if span.span_id in keep]
+
     def root_of(self, span: Span) -> Span:
         """Walk parent links to the top of ``span``'s tree."""
         by_id = {s.span_id: s for s in self.spans()}

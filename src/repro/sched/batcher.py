@@ -102,10 +102,13 @@ class InferenceBatcher:
         model: "ADTDModel",
         config: "BatchingConfig",
         metrics: MetricsRegistry | NullMetricsRegistry | None = None,
+        reference: bool = False,
     ) -> None:
         metrics = metrics if metrics is not None else global_registry()
         self.model = model
         self.config = config
+        # Forward selection for every group (see repro.sched.forward.run_phase1).
+        self.reference = reference
         self._cond = threading.Condition()
         # --- everything below self._cond is guarded by it ---
         self._queue: deque[_Ticket] = deque()
@@ -327,7 +330,9 @@ class InferenceBatcher:
             self._batch_requests_hist.observe(len(group))
             self._batch_cols_hist.observe(sum(ticket.cost for ticket in group))
             try:
-                results = run_group(self.model, [ticket.request for ticket in group])
+                results = run_group(
+                    self.model, [ticket.request for ticket in group], self.reference
+                )
             except BaseException as error:
                 with self._cond:
                     for ticket in group:

@@ -16,8 +16,9 @@ widths:
 Adding *rows* is free: extra tables in the batch dimension and extra
 padded columns in the column dimension never change a real row's
 arithmetic (each row's reductions run over its own axis), which is what
-makes cross-table batching exact. Forwards run under ``no_grad`` on
-whatever thread calls them; per-request results are sliced back out as
+makes cross-table batching exact. Forwards run on whatever thread calls
+them — the model's raw-ndarray ``infer_*`` forward, or its autograd
+``Tensor`` forward under ``no_grad`` as the reference; per-request results are sliced back out as
 contiguous copies so a request never pins its whole batch in memory —
 including the per-request :class:`~repro.core.latent_cache.CachedEncoding`
 slices that keep Phase-2 cross-attention semantics unchanged.
@@ -33,7 +34,6 @@ from .. import nn
 from ..core.adtd import ADTDModel
 from ..core.latent_cache import CachedEncoding
 from ..features.encoding import Batch, EncodedTable, collate
-from ..nn import compile as nn_compile
 from ..nn.functional import stable_sigmoid
 
 __all__ = [
@@ -141,21 +141,14 @@ def _phase1_results(
     logits_np: np.ndarray,
     layer_arrays: list[np.ndarray],
 ) -> list[Phase1Result]:
-    """Slice per-request results (contiguous copies) out of batch outputs.
-
-    Shared by the eager and the compiled path; for the latter the inputs
-    are workspace-arena views, so every copy here must happen before the
-    plan's replay lock is released (the caller guarantees that).
-    """
+    """Slice per-request results (contiguous copies) out of batch outputs."""
     probs = stable_sigmoid(logits_np)
     results: list[Phase1Result] = []
     for row, request in enumerate(requests):
         cols = request.num_columns
         # Real copies, not np.ascontiguousarray: a single-row slice of a
         # C-contiguous batch output is already contiguous, so that would
-        # return a *view* — pinning the whole batch in the eager case and,
-        # in the compiled case, aliasing arena buffers the next replay
-        # overwrites.
+        # return a *view* pinning the whole batch in the latent cache.
         encoding = CachedEncoding(
             layer_outputs=[array[row : row + 1].copy() for array in layer_arrays],
             meta_mask=batch.meta_mask[row : row + 1].copy(),
@@ -167,13 +160,14 @@ def _phase1_results(
     return results
 
 
-def run_phase1(model: ADTDModel, requests: list[Phase1Request]) -> list[Phase1Result]:
+def run_phase1(
+    model: ADTDModel, requests: list[Phase1Request], reference: bool = False
+) -> list[Phase1Result]:
     """One collated metadata-tower forward over same-width requests.
 
-    Routes through the model's compiled-plan cache when one is attached
-    (:func:`repro.nn.compile.enable`); any fallback — no plan cache,
-    off-ladder width, busy plan, arena overrun — runs the eager no-grad
-    forward, which is bitwise identical to the compiled replay.
+    Runs :meth:`ADTDModel.infer_phase1`; ``reference=True`` runs the
+    autograd ``Tensor`` forward under ``no_grad`` instead. Both read the
+    live weights and agree bitwise.
     """
     if not requests:
         return []
@@ -181,22 +175,26 @@ def run_phase1(model: ADTDModel, requests: list[Phase1Request]) -> list[Phase1Re
     if any(r.meta_width != meta_width for r in requests):
         raise ValueError("phase-1 batch mixes meta widths; group_requests() first")
     batch = collate([r.encoded for r in requests], meta_width=meta_width)
-    plans = nn_compile.plan_cache(model)
-    if plans is not None:
-        with plans.phase1(batch) as outputs:
-            if outputs is not None:
-                logits_np, layer_arrays = outputs
-                return _phase1_results(requests, batch, logits_np, layer_arrays)
+    if not reference:
+        logits_np, layer_arrays = model.infer_phase1(batch)
+        return _phase1_results(requests, batch, logits_np, layer_arrays)
     with nn.no_grad():
         meta_layers = model.encode_metadata(batch)
         logits = model.meta_logits(batch, meta_layers)
-    logits_np = logits.detach().numpy()
-    layer_arrays = [layer.detach().numpy() for layer in meta_layers]
-    return _phase1_results(requests, batch, logits_np, layer_arrays)
+    layer_arrays = [layer.numpy() for layer in meta_layers]
+    return _phase1_results(requests, batch, logits.numpy(), layer_arrays)
 
 
-def run_phase2(model: ADTDModel, requests: list[Phase2Request]) -> list[Phase2Result]:
-    """One collated content-tower forward over same-width requests."""
+def run_phase2(
+    model: ADTDModel, requests: list[Phase2Request], reference: bool = False
+) -> list[Phase2Result]:
+    """One collated content-tower forward over same-width requests.
+
+    Uses the requests' cached Phase-1 latents when *all* of them hold a
+    width-usable entry; any miss recomputes the metadata tower for the
+    whole batch, which is bitwise equal to the cached latents.
+    ``reference`` selects the forward as in :func:`run_phase1`.
+    """
     if not requests:
         return []
     meta_width = requests[0].meta_width
@@ -210,31 +208,24 @@ def run_phase2(model: ADTDModel, requests: list[Phase2Request]) -> list[Phase2Re
         meta_width=meta_width,
         content_width=content_width,
     )
-    all_usable = all(
-        r.cached is not None and r.cached.usable_at(meta_width) for r in requests
-    )
-    cached = [r.cached for r in requests] if all_usable else None
-    plans = nn_compile.plan_cache(model)
-    if plans is not None:
-        with plans.phase2(batch, cached) as logits_np:
-            if logits_np is not None:
-                return _phase2_results(requests, logits_np)
+    cached = None
+    if all(r.cached is not None and r.cached.usable_at(meta_width) for r in requests):
+        num_layers = len(requests[0].cached.layer_outputs)
+        cached = [
+            np.concatenate([r.cached.layer_outputs[i] for r in requests], axis=0)
+            for i in range(num_layers)
+        ]
+    if not reference:
+        meta_layers = cached if cached is not None else model.infer_metadata(batch)
+        return _phase2_results(requests, model.infer_phase2(batch, meta_layers))
     with nn.no_grad():
         if cached is not None:
-            num_layers = len(cached[0].layer_outputs)
-            meta_layers = [
-                nn.Tensor(
-                    np.concatenate([enc.layer_outputs[i] for enc in cached], axis=0)
-                )
-                for i in range(num_layers)
-            ]
+            meta_layers = [nn.Tensor(layer) for layer in cached]
         else:
-            # Any miss recomputes the metadata tower for the whole batch;
-            # eval-mode recomputation is bitwise-equal to the cached latents.
             meta_layers = model.encode_metadata(batch)
         content_hidden = model.encode_content(batch, meta_layers)
         logits = model.content_logits(batch, meta_layers, content_hidden)
-    return _phase2_results(requests, logits.detach().numpy())
+    return _phase2_results(requests, logits.numpy())
 
 
 def _phase2_results(
@@ -266,32 +257,37 @@ def group_requests(
 
 
 def run_group(
-    model: ADTDModel, subset: list["Phase1Request | Phase2Request"]
+    model: ADTDModel,
+    subset: list["Phase1Request | Phase2Request"],
+    reference: bool = False,
 ) -> list["Phase1Result | Phase2Result"]:
     """Run one width-compatible group through the right forward."""
     if isinstance(subset[0], Phase1Request):
-        return run_phase1(model, subset)
-    return run_phase2(model, subset)
+        return run_phase1(model, subset, reference=reference)
+    return run_phase2(model, subset, reference=reference)
 
 
 def run_grouped(
     model: ADTDModel,
     requests: list["Phase1Request | Phase2Request"],
     coalesce: bool = True,
+    reference: bool = False,
 ) -> list["Phase1Result | Phase2Result"]:
     """Run a mixed request list, returning results in submission order.
 
     ``coalesce=False`` runs every request as its own batch-of-1 forward —
     the unbatched reference path (and the ``batching.enabled=False``
     configuration). Widths are bucketed either way, so both modes produce
-    bitwise-identical results.
+    bitwise-identical results. ``reference=True`` runs the autograd
+    ``Tensor`` forward instead of the raw-ndarray one (see
+    :func:`run_phase1`).
     """
     results: list = [None] * len(requests)
     if coalesce:
         for indices, subset in group_requests(requests):
-            for index, result in zip(indices, run_group(model, subset)):
+            for index, result in zip(indices, run_group(model, subset, reference)):
                 results[index] = result
     else:
         for index, request in enumerate(requests):
-            results[index] = run_group(model, [request])[0]
+            results[index] = run_group(model, [request], reference)[0]
     return results

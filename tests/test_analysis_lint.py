@@ -534,19 +534,6 @@ def test_rpr502_concatenate_in_grad_disabled_branch(tmp_path):
     assert _rules_hit(findings) == {"RPR502"}
 
 
-def test_rpr502_whole_file_rule_in_compile_module(tmp_path):
-    findings = _lint_nn_source(
-        tmp_path,
-        "import numpy as np\n"
-        "def replay(plans):\n"
-        "    for plan in plans:\n"
-        "        out = np.empty((4, 4))\n"
-        "        plan(out)\n",
-        name="compile.py",
-    )
-    assert _rules_hit(findings) == {"RPR502"}
-
-
 def test_rpr502_quiet_on_grad_path_loop(tmp_path):
     findings = _lint_nn_source(
         tmp_path,

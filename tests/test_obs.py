@@ -9,7 +9,13 @@ import threading
 
 import pytest
 
-from repro.core import TasteDetector, ThresholdPolicy
+from repro.core import (
+    DetectOptions,
+    DetectorConfig,
+    RuntimeConfig,
+    TasteDetector,
+    ThresholdPolicy,
+)
 from repro.db import CloudDatabaseServer, CostModel
 from repro.obs import (
     NULL_METRICS,
@@ -316,6 +322,27 @@ class TestTracePropagation:
         art = render_timeline(records)
         for table in report.tables:
             assert table.table_name in art
+
+    def test_trace_out_holds_only_this_run(
+        self, trained_model, featurizer, tiny_corpus, tmp_path
+    ):
+        server = CloudDatabaseServer.from_tables(
+            tiny_corpus.tables[:4], CostModel(time_scale=0.0)
+        )
+        detector = TasteDetector(
+            trained_model, featurizer, ThresholdPolicy(0.1, 0.9),
+            config=DetectorConfig(pipelined=True),
+            runtime=RuntimeConfig(tracer=Tracer(), metrics=MetricsRegistry()),
+        )
+        detector.detect(server, options=DetectOptions(trace_out=tmp_path / "first.jsonl"))
+        first_ids = {span.span_id for span in detector.tracer.spans()}
+        detector.detect(server, options=DetectOptions(trace_out=tmp_path / "second.jsonl"))
+        second = read_spans_jsonl(tmp_path / "second.jsonl")
+        roots = [record for record in second if record["name"] == "detect"]
+        assert len(roots) == 1
+        assert not first_ids & {record["span_id"] for record in second}
+        assert len(second) == len(detector.tracer.spans()) - len(first_ids)
+        assert len(read_spans_jsonl(tmp_path / "first.jsonl")) == len(first_ids)
 
     def test_stage_seconds_populated_from_spans(self, traced_run):
         detector, _, _, report = traced_run

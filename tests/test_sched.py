@@ -159,6 +159,59 @@ class TestArrayKeyLRU:
         memo.get((b, a), lambda x, y: x + y)  # order matters
         assert memo.hits == 1 and memo.misses == 2
 
+    def test_capacity_validation(self):
+        with pytest.raises(ValueError, match="capacity"):
+            ArrayKeyLRU("bad", capacity=0)
+
+    def test_eviction_counted(self):
+        memo = ArrayKeyLRU("evict-test", capacity=2)
+        for value in range(4):
+            memo.get(np.full(2, value), lambda a: a.copy())
+        assert len(memo) == 2
+        assert memo.evictions == 2
+
+    def test_capacity_enforced_under_concurrent_inserts(self):
+        memo = ArrayKeyLRU("race-test", capacity=8)
+        errors = []
+
+        def hammer(worker):
+            try:
+                for i in range(50):
+                    memo.get(np.full(3, worker * 1000 + i), lambda a: a.copy())
+                    assert len(memo) <= 8
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert len(memo) <= 8
+        assert memo.evictions >= 6 * 50 - 8
+
+    def test_racing_same_key_returns_one_entry(self):
+        memo = ArrayKeyLRU("same-key", capacity=4)
+        barrier = threading.Barrier(4)
+        results = []
+
+        def build(a):
+            return a * 2.0
+
+        def worker():
+            barrier.wait()
+            results.append(memo.get(np.arange(5.0), build))
+
+        threads = [threading.Thread(target=worker) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(memo) == 1
+        assert all(r is results[0] for r in results)
+        assert memo.hits + memo.misses == 4
+
 
 # ----------------------------------------------------------------------
 # Batcher mechanics (driven directly, no executor)
