@@ -102,11 +102,15 @@ class DetectorConfig:
     (``ORDER BY RAND(seed)``), paper Sec. 6.1.2; ``sample_seed`` must be
     non-negative (MySQL's ``RAND`` and numpy's ``default_rng`` both reject
     negative seeds — we reject them here, at config time).
+    ``prep_workers`` sizes TP1, the I/O stage: its threads mostly wait on
+    database round trips, so it is sized for overlap, not for cores. Past
+    4, the featurization its threads also run contends for the GIL and
+    each table's stages take longer (see README, "Pipelined execution").
     """
 
     caching: bool = True
     pipelined: bool = True
-    prep_workers: int = 2
+    prep_workers: int = 4
     infer_workers: int = 2
     scan_method: str = "first"
     sample_seed: int = 0

@@ -7,10 +7,13 @@ in flight. Two thread pools (``TP1`` for preparation, ``TP2`` for
 inference) drain a queue of stages; a stage is *eligible* once all previous
 stages of the same table have finished (Definition 5.1).
 
-The dispatch loop is event-driven: workers ``notify_all()`` the condition
-on completion and the loop blocks in ``condition.wait()`` until then (a
-long ``wait_timeout`` remains as a safety net only; timeouts are counted
-in the ``pipeline.wait_timeouts`` metric and a healthy run records zero).
+The dispatch loop is event-driven: a worker whose stage completes puts
+the job on the ready queue of its next stage's kind and notifies the
+condition, and the loop — blocked in ``condition.wait()`` until then
+— hands queued stages to free workers. A wakeup therefore costs
+O(dispatches), never a pass over every job (a long ``wait_timeout``
+remains as a safety net only; timeouts are counted in the
+``pipeline.wait_timeouts`` metric and a healthy run records zero).
 Stage callables run inside a copy of the dispatcher's :mod:`contextvars`
 context, so tracer spans opened on worker threads parent to the run's
 root span.
@@ -29,10 +32,12 @@ one, stages strictly in order, no overlap.
 from __future__ import annotations
 
 import contextvars
+import heapq
+import itertools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Callable, Hashable, Protocol
 
 from ..obs import NULL_METRICS
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
@@ -41,7 +46,7 @@ from .phases import TableJob
 if TYPE_CHECKING:
     from ..sched.batcher import InferenceBatcher
 
-__all__ = ["JobSource", "PipelinedExecutor", "SequentialExecutor"]
+__all__ = ["JobSource", "PipelinedExecutor", "ReadyQueues", "SequentialExecutor"]
 
 
 class SequentialExecutor:
@@ -57,23 +62,109 @@ class SequentialExecutor:
                 job.run_next_stage()
 
 
+#: The two resource kinds of Algorithm 1: TP1 (``prep``) and TP2 (``infer``).
+KINDS = ("prep", "infer")
+
+
+class ReadyQueues:
+    """The jobs whose next stage is eligible (Definition 5.1), one queue per kind.
+
+    A job sits in at most one queue: the queue of its next stage's kind,
+    from the moment that stage becomes eligible until the loop dispatches
+    it. ``key(job)`` returns ``(group, order)`` and a pop takes the job
+    with the smallest ``(rank(group), order)``. ``order`` is fixed per
+    job; ``rank`` is read at pop time, so a source whose preference moves
+    as work is served (the service's least-served tenant) stays exact
+    without re-sorting anything. Groups are few — one for ``detect()``,
+    one per (priority, tenant) for the service — so a pop costs
+    O(groups + log n), not a pass over the jobs.
+
+    Not thread-safe by itself: every call happens with the source's
+    condition held.
+    """
+
+    def __init__(
+        self,
+        key: Callable[[TableJob], tuple[Hashable, tuple]],
+        rank: Callable[[Hashable], tuple] = lambda group: (),
+    ) -> None:
+        self._key = key
+        self._rank = rank
+        # kind -> group -> heap of (order, entry, eligible_since, job)
+        self._heaps: dict[str, dict[Hashable, list]] = {kind: {} for kind in KINDS}
+        # id(job) -> (entry, kind) of its one live heap entry; a heap item
+        # whose entry number is not here was discarded and is skipped on pop.
+        self._live: dict[int, tuple[int, str]] = {}
+        self._counts = dict.fromkeys(KINDS, 0)
+        self._entries = itertools.count()
+
+    def push(self, job: TableJob, eligible_since: float) -> None:
+        """Queue ``job``'s next stage, eligible since ``eligible_since``."""
+        kind = job.next_stage_kind()
+        group, order = self._key(job)
+        entry = next(self._entries)
+        heap = self._heaps[kind].setdefault(group, [])
+        heapq.heappush(heap, (order, entry, eligible_since, job))
+        self._live[id(job)] = (entry, kind)
+        self._counts[kind] += 1
+
+    def discard(self, job: TableJob) -> None:
+        """Drop ``job`` if queued (it was finished without being dispatched)."""
+        live = self._live.pop(id(job), None)
+        if live is not None:
+            self._counts[live[1]] -= 1
+
+    def count(self, kind: str) -> int:
+        """Jobs waiting for a ``kind`` worker."""
+        return self._counts[kind]
+
+    def _is_live(self, item: tuple) -> bool:
+        _, entry, _, job = item
+        live = self._live.get(id(job))
+        return live is not None and live[0] == entry
+
+    def pop(self, kind: str) -> tuple[TableJob, float] | None:
+        """The first eligible ``kind`` stage and when it became eligible."""
+        groups = self._heaps[kind]
+        best: tuple[tuple, list] | None = None
+        for group, heap in list(groups.items()):
+            while heap and not self._is_live(heap[0]):
+                heapq.heappop(heap)
+            if not heap:
+                del groups[group]
+                continue
+            candidate = (self._rank(group), heap[0][0])
+            if best is None or candidate < best[0]:
+                best = (candidate, heap)
+        if best is None:
+            return None
+        _, _, eligible_since, job = heapq.heappop(best[1])
+        del self._live[id(job)]
+        self._counts[kind] -= 1
+        return job, eligible_since
+
+
 class JobSource(Protocol):
     """Where the dispatch loop gets its jobs and reports their progress.
 
     The source owns ``condition`` — the one lock of the whole dispatch
-    loop. Every method below is called *with that condition held*; a
-    source that enqueues or cancels jobs from other threads must take the
-    same condition and ``notify_all()`` so the loop re-reads ``pending()``.
+    loop — and ``ready``, the queues the loop dispatches from. Every
+    method below is called *with that condition held*. The loop itself
+    re-queues a job whose stage finished and that has stages left; a
+    source that adds jobs, or finishes queued ones, from other threads
+    must take the same condition, ``push``/``discard`` them on ``ready``
+    and ``notify_all()``.
     """
 
     condition: threading.Condition
+    ready: ReadyQueues
 
-    def pending(self) -> list[TableJob]:
-        """Dispatchable (not-done) jobs, in dispatch-priority order."""
+    def poll(self) -> None:
+        """Apply time-driven changes (deadline expiry) before a dispatch pass."""
         ...
 
     def finished(self) -> bool:
-        """True when a drained loop (nothing pending/running) should exit."""
+        """True when a drained loop (nothing queued/running) should exit."""
         ...
 
     def aborted(self) -> bool:
@@ -96,18 +187,22 @@ class JobSource(Protocol):
 class _StaticSource:
     """The one-shot source behind :meth:`PipelinedExecutor.run`.
 
-    A fixed job list, drained to completion; the first stage failure
-    aborts the loop and is re-raised to the caller (matching the
-    pre-service executor semantics exactly).
+    A fixed job list, drained to completion in list order; the first
+    stage failure aborts the loop and is re-raised to the caller.
     """
 
     def __init__(self, jobs: list[TableJob]) -> None:
         self.condition = threading.Condition()
-        self.jobs = jobs
+        index = {id(job): position for position, job in enumerate(jobs)}
+        self.ready = ReadyQueues(lambda job: (None, index[id(job)]))
         self.failures: list[BaseException] = []
+        now = time.perf_counter()
+        for job in jobs:
+            if not job.done:
+                self.ready.push(job, now)
 
-    def pending(self) -> list[TableJob]:
-        return [job for job in self.jobs if not job.done]
+    def poll(self) -> None:
+        return None
 
     def finished(self) -> bool:
         return True
@@ -126,12 +221,13 @@ class _StaticSource:
 
 
 class PipelinedExecutor:
-    """Algorithm 1: stage queue drained by two thread pools.
+    """Algorithm 1: per-kind ready queues drained by two thread pools.
 
     Parameters
     ----------
     prep_workers:
-        Size of TP1 (data-preparation pool).
+        Size of TP1 (data-preparation pool: metadata fetch, content scan
+        and featurization — mostly waiting on database round trips).
     infer_workers:
         Size of TP2 (inference pool).
     wait_timeout:
@@ -145,7 +241,7 @@ class PipelinedExecutor:
         Optional :class:`~repro.sched.InferenceBatcher`. When set, the
         executor serves it for the duration of each run and feeds it
         backlog hints (how many prep/infer stages are in flight or
-        dispatchable) so the batcher can flush adaptively: grow batches
+        queued) so the batcher can flush adaptively: grow batches
         while more submitters are coming, flush immediately once the
         pipeline's tail leaves no prep work anywhere.
     """
@@ -194,33 +290,29 @@ class PipelinedExecutor:
 
         The long-lived entry point: the loop keeps waiting on the
         source's condition while ``finished()`` is false, so a service
-        can keep enqueuing jobs. All loop state (in-flight counts, the
-        running set, eligibility clocks) is local; the only shared lock
-        is ``source.condition``.
+        can keep enqueuing jobs. Each wakeup hands the first queued stage
+        of each kind to every free worker; a worker re-queues its job
+        when the stage completes. In-flight counts are local; the only
+        shared lock is ``source.condition``.
         """
         metrics = metrics if metrics is not None else global_registry()
         in_flight_gauges = {
-            kind: metrics.gauge("pipeline.in_flight", pool=kind)
-            for kind in ("prep", "infer")
+            kind: metrics.gauge("pipeline.in_flight", pool=kind) for kind in KINDS
         }
         dispatch_counters = {
-            kind: metrics.counter("pipeline.dispatches", pool=kind)
-            for kind in ("prep", "infer")
+            kind: metrics.counter("pipeline.dispatches", pool=kind) for kind in KINDS
         }
         queue_wait = {
             kind: metrics.histogram("pipeline.queue_wait_seconds", pool=kind)
-            for kind in ("prep", "infer")
+            for kind in KINDS
         }
         wakeups = metrics.counter("pipeline.wakeups")
         wait_timeouts = metrics.counter("pipeline.wait_timeouts")
         dispatch_seconds = metrics.histogram("pipeline.dispatch_seconds")
 
         condition = source.condition
-        in_flight = {"prep": 0, "infer": 0}
-        # A job is dispatchable when it is not done and not currently running.
-        running: set[int] = set()
-        # id(job) -> clock reading when its next stage became eligible.
-        eligible_since: dict[int, float] = {}
+        ready = source.ready
+        in_flight = dict.fromkeys(KINDS, 0)
 
         def worker(job: TableJob, kind: str) -> None:
             error: BaseException | None = None
@@ -232,15 +324,12 @@ class PipelinedExecutor:
                 with condition:
                     in_flight[kind] -= 1
                     in_flight_gauges[kind].set(in_flight[kind])
-                    running.discard(id(job))
-                    if job.done:
-                        eligible_since.pop(id(job), None)
-                    else:
-                        eligible_since[id(job)] = time.perf_counter()
                     if error is None:
                         source.note_stage_complete(job)
                     else:
                         source.note_stage_error(job, error)
+                    if not job.done:
+                        ready.push(job, time.perf_counter())
                     condition.notify_all()
 
         limits = {"prep": self.prep_workers, "infer": self.infer_workers}
@@ -248,30 +337,18 @@ class PipelinedExecutor:
                 ThreadPoolExecutor(self.infer_workers, thread_name_prefix="taste-infer") as tp2:
             pools = {"prep": tp1, "infer": tp2}
             with condition:
-                while True:
-                    if source.aborted():
-                        break
-                    pending = [job for job in source.pending() if not job.done]
-                    if not pending and not running and source.finished():
-                        break
+                while not source.aborted():
+                    source.poll()
                     pass_started = time.perf_counter()
-                    for job in pending:
-                        eligible_since.setdefault(id(job), pass_started)
-                    dispatched = False
-                    for kind in ("prep", "infer"):
-                        if in_flight[kind] >= limits[kind]:
-                            continue
-                        # First eligible stage of the right kind (Algorithm 1
-                        # lines 8-19): the job's *next* stage must match and
-                        # the job must not already be running a stage.
-                        for job in pending:
-                            if id(job) in running:
-                                continue
-                            if job.next_stage_kind() != kind:
-                                continue
-                            now = time.perf_counter()
-                            queue_wait[kind].observe(now - eligible_since[id(job)])
-                            running.add(id(job))
+                    for kind in KINDS:
+                        # First eligible stage of each kind, in source order,
+                        # for every free worker (Algorithm 1 lines 8-19).
+                        while in_flight[kind] < limits[kind]:
+                            popped = ready.pop(kind)
+                            if popped is None:
+                                break
+                            job, eligible_since = popped
+                            queue_wait[kind].observe(time.perf_counter() - eligible_since)
                             in_flight[kind] += 1
                             in_flight_gauges[kind].set(in_flight[kind])
                             dispatch_counters[kind].inc()
@@ -281,39 +358,28 @@ class PipelinedExecutor:
                             # root span as an ancestor.
                             context = contextvars.copy_context()
                             pools[kind].submit(context.run, worker, job, kind)
-                            dispatched = True
-                            break
                     dispatch_seconds.observe(time.perf_counter() - pass_started)
                     if self.batcher is not None:
-                        # prep backlog: stages in flight or dispatchable (how
-                        # much future infer work exists). infer backlog: stages
-                        # that can still submit before the next flush — running
-                        # stages plus dispatchable ones with a free TP2 slot.
-                        # Dispatchable stages *without* a slot are excluded:
-                        # they only start after a flush frees a worker, so
-                        # counting them would make the batcher wait on itself.
-                        prep_backlog = 0
-                        dispatchable_infer = 0
-                        for job in pending:
-                            if id(job) in running:
-                                continue
-                            kind = job.next_stage_kind()
-                            if kind == "prep":
-                                prep_backlog += 1
-                            elif kind == "infer":
-                                dispatchable_infer += 1
-                        free_slots = limits["infer"] - in_flight["infer"]
+                        # prep backlog: stages running or queued (how much
+                        # future infer work exists). infer backlog: stages
+                        # that can still submit before the next flush — the
+                        # running ones. Queued infer stages only start after
+                        # a flush frees a worker, so counting them would make
+                        # the batcher wait on itself.
                         self.batcher.note_state(
-                            in_flight["prep"] + prep_backlog,
-                            in_flight["infer"] + min(free_slots, dispatchable_infer),
+                            in_flight["prep"] + ready.count("prep"), in_flight["infer"]
                         )
-                    if not dispatched:
-                        # Event-driven wait: workers notify on completion, so
-                        # a timeout with work outstanding is a stall. An idle
-                        # long-lived source (nothing pending or running,
-                        # waiting for submissions) times out as a matter of
-                        # course and is not counted.
-                        notified = condition.wait(timeout=self.wait_timeout)
-                        wakeups.inc()
-                        if not notified and (pending or running):
-                            wait_timeouts.inc()
+                    outstanding = sum(in_flight.values()) + sum(
+                        ready.count(kind) for kind in KINDS
+                    )
+                    if not outstanding and source.finished():
+                        break
+                    # Event-driven wait: workers notify on completion, so a
+                    # timeout with work outstanding is a stall. An idle
+                    # long-lived source (nothing queued or running, waiting
+                    # for submissions) times out as a matter of course and
+                    # is not counted.
+                    notified = condition.wait(timeout=self.wait_timeout)
+                    wakeups.inc()
+                    if not notified and outstanding:
+                        wait_timeouts.inc()

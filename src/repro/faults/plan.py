@@ -5,8 +5,10 @@ wrong*: each :class:`FaultRule` targets an operation class (metadata
 fetch, content scan, connect, ...) and fires with a given probability,
 adding latency, raising a :class:`~repro.faults.errors.TransientDBError`,
 dropping the connection, or throttling scans. Building the plan yields a
-:class:`FaultInjector` whose per-rule ``random.Random`` streams make every
-run with the same plan reproduce the same fault sequence.
+:class:`FaultInjector`. Each probabilistic draw is a hash of (plan seed,
+rule, operation, table, that table's call count for the operation), so
+every run with the same plan reproduces the same faults on the same
+calls, whatever order concurrent workers reach the injector in.
 
 Faults fire *before* the underlying :class:`~repro.db.connection.Connection`
 operation runs, so a failed attempt charges nothing to the
@@ -20,10 +22,10 @@ in the ledger.
 
 from __future__ import annotations
 
-import random
+import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 from ..db.connection import Connection, ConnectionClosedError
 from ..obs.metrics import MetricsRegistry, NullMetricsRegistry, global_registry
@@ -32,6 +34,8 @@ from .errors import ConnectionDroppedError, TransientDBError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..db.schema import TableMetadata
     from ..db.server import CloudDatabaseServer
+
+_T = TypeVar("_T")
 
 __all__ = ["FaultRule", "FaultPlan", "FaultInjector", "FaultyConnection", "OPERATIONS", "KINDS"]
 
@@ -66,8 +70,9 @@ class FaultRule:
         ``delay`` *per requested column* on content scans (a slow-scan
         brake) and only matches ``fetch_values``.
     probability:
-        Chance the rule fires on a matching operation, drawn from the
-        rule's own seeded stream.
+        Chance the rule fires on a matching operation; the draw is keyed
+        on the plan seed, the rule, the operation, the table and how many
+        times this operation ran on that table before.
     delay:
         Seconds of injected latency (``latency``/``throttle`` kinds).
     max_faults:
@@ -161,11 +166,14 @@ class FaultPlan:
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` against live operations (thread-safe).
 
-    One seeded ``random.Random`` stream per rule means the Bernoulli
-    outcome sequence of each rule is fixed by the plan alone: total fault
-    counts do not depend on thread interleaving for deterministic rules
-    (``probability`` 0 or 1, or ``max_faults`` caps), and are reproducible
-    run to run for probabilistic rules under sequential execution.
+    A probabilistic rule's draw for one call is a hash of (plan seed,
+    rule index, operation, table, call number), where the call number
+    counts earlier calls of that operation on that table. A table's
+    calls run one stage at a time, so which of its calls fault is fixed
+    by the plan alone, independent of thread interleaving. (Table-less
+    operations such as ``connect`` share one count, so under concurrency
+    *which* caller draws the n-th outcome still depends on timing.) A
+    ``max_faults`` cap is first come, first served.
     """
 
     def __init__(
@@ -176,10 +184,7 @@ class FaultInjector:
         self.plan = plan
         self.metrics = metrics if metrics is not None else global_registry()
         self._lock = threading.Lock()
-        self._rngs = [
-            random.Random((plan.seed + 1) * 1_000_003 + index)
-            for index in range(len(plan.rules))
-        ]
+        self._calls: dict[tuple[str, str | None], int] = {}
         self._fired = [0] * len(plan.rules)
         self._injected_latency = 0.0
         self._counters = {
@@ -227,15 +232,18 @@ class FaultInjector:
         error-kind rules raise. ``scale`` multiplies throttle delays (the
         number of columns a scan requests).
         """
+        with self._lock:
+            call = self._calls.get((operation, table), 0)
+            self._calls[(operation, table)] = call + 1
         for index, rule in enumerate(self.plan.rules):
             if not rule.matches(operation, table):
                 continue
+            if rule.probability < 1.0:
+                if self._draw(index, operation, table, call) >= rule.probability:
+                    continue
             with self._lock:
                 if rule.max_faults is not None and self._fired[index] >= rule.max_faults:
                     continue
-                if rule.probability < 1.0:
-                    if self._rngs[index].random() >= rule.probability:
-                        continue
                 self._fired[index] += 1
                 if rule.kind in ("latency", "throttle"):
                     delay = rule.delay * (scale if rule.kind == "throttle" else 1)
@@ -255,6 +263,12 @@ class FaultInjector:
                 + (f" ({table})" if table else "")
             )
 
+    def _draw(self, index: int, operation: str, table: str | None, call: int) -> float:
+        """Uniform [0, 1) outcome of rule ``index`` on one call."""
+        key = f"{self.plan.seed}|{index}|{operation}|{table}|{call}".encode()
+        digest = hashlib.blake2b(key, digest_size=8).digest()
+        return int.from_bytes(digest, "big") / 2.0**64
+
 
 class FaultyConnection:
     """A :class:`Connection` proxy that runs every operation past the injector.
@@ -263,20 +277,29 @@ class FaultyConnection:
     After an injected drop the inner connection is discarded; the next
     operation transparently reconnects through the server (charging the
     usual connect latency, and itself subject to ``connect`` fault rules).
+
+    Thread-safe: the prep workers of one ``detect()`` share a connection.
+    Reconnecting is atomic (one reconnect per drop, however many threads
+    need it), and a call that was already under way on a connection
+    another thread's drop closed fails with the retryable
+    :class:`ConnectionDroppedError`, as it would against a real server.
     """
 
     def __init__(self, server: "CloudDatabaseServer", injector: FaultInjector) -> None:
         self._server = server
         self._injector = injector
+        self._lock = threading.Lock()
         self._inner: Connection | None = server.connect()
         self._closed = False
         self.reconnects = 0
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._inner is not None:
-            self._inner.close()
-        self._closed = True
+        with self._lock:
+            inner, self._inner = self._inner, None
+            self._closed = True
+        if inner is not None:
+            inner.close()
 
     def __enter__(self) -> "FaultyConnection":
         return self
@@ -286,33 +309,54 @@ class FaultyConnection:
 
     # ------------------------------------------------------------------
     def _live(self) -> Connection:
-        if self._closed:
-            raise ConnectionClosedError("connection is closed")
-        if self._inner is None:
-            # Reconnect after a drop; the reconnect can fault too.
-            self._injector.before("connect", None, self._server.cost_model)
-            self._inner = self._server.connect()
-            self.reconnects += 1
-        return self._inner
+        with self._lock:
+            if self._closed:
+                raise ConnectionClosedError("connection is closed")
+            if self._inner is None:
+                # Reconnect after a drop; the reconnect can fault too.
+                self._injector.before("connect", None, self._server.cost_model)
+                self._inner = self._server.connect()
+                self.reconnects += 1
+            return self._inner
 
-    def _guard(self, operation: str, table: str | None, scale: int = 1) -> Connection:
+    def _call(
+        self,
+        operation: str,
+        table: str | None,
+        call: Callable[[Connection], _T],
+        scale: int = 1,
+    ) -> _T:
         inner = self._live()
         try:
             self._injector.before(operation, table, self._server.cost_model, scale)
         except ConnectionDroppedError:
+            with self._lock:
+                if self._inner is inner:
+                    self._inner = None
             inner.close()
-            self._inner = None
             raise
-        return inner
+        try:
+            return call(inner)
+        except ConnectionClosedError as error:
+            with self._lock:
+                if self._closed:
+                    raise
+            # Another thread's drop closed it mid-call.
+            raise ConnectionDroppedError(
+                f"connection dropped under {operation}"
+                + (f" ({table})" if table else "")
+            ) from error
 
     # ------------------------------------------------------------------
     # Typed API (mirrors Connection)
     # ------------------------------------------------------------------
     def list_tables(self) -> list[str]:
-        return self._guard("list_tables", None).list_tables()
+        return self._call("list_tables", None, lambda inner: inner.list_tables())
 
     def fetch_metadata(self, table_name: str) -> "TableMetadata":
-        return self._guard("fetch_metadata", table_name).fetch_metadata(table_name)
+        return self._call(
+            "fetch_metadata", table_name, lambda inner: inner.fetch_metadata(table_name)
+        )
 
     def fetch_values(
         self,
@@ -321,11 +365,19 @@ class FaultyConnection:
         limit: int | None = None,
         sample_seed: int | None = None,
     ) -> dict[str, list[str]]:
-        inner = self._guard("fetch_values", table_name, scale=max(len(column_names), 1))
-        return inner.fetch_values(table_name, column_names, limit, sample_seed)
+        return self._call(
+            "fetch_values",
+            table_name,
+            lambda inner: inner.fetch_values(table_name, column_names, limit, sample_seed),
+            scale=max(len(column_names), 1),
+        )
 
     def analyze_table(self, table_name: str, *args: Any, **kwargs: Any) -> None:
-        self._guard("analyze_table", table_name).analyze_table(table_name, *args, **kwargs)
+        self._call(
+            "analyze_table",
+            table_name,
+            lambda inner: inner.analyze_table(table_name, *args, **kwargs),
+        )
 
     def execute(self, sql: str) -> list[dict] | list[tuple]:
-        return self._guard("execute", None).execute(sql)
+        return self._call("execute", None, lambda inner: inner.execute(sql))

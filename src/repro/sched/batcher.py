@@ -190,8 +190,11 @@ class InferenceBatcher:
         """
         with self._cond:
             self._prep_backlog = prep_backlog
-            self._infer_backlog = infer_backlog
-            self._cond.notify_all()
+            # Only the infer backlog feeds the flush decision; waking the
+            # compute thread for anything else is a wasted GIL handoff.
+            if infer_backlog != self._infer_backlog:
+                self._infer_backlog = infer_backlog
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Submission

@@ -39,7 +39,7 @@ import time
 from ..core.config import DetectOptions
 from ..core.detector import TasteDetector
 from ..core.phases import TableJob
-from ..core.pipeline import PipelinedExecutor
+from ..core.pipeline import PipelinedExecutor, ReadyQueues
 from ..core.results import DetectionReport
 from ..db.connection import Connection
 from ..db.pool import ConnectionPool
@@ -152,13 +152,27 @@ class _ServiceSource:
         self.stopping = False
         self.dispatch_error: BaseException | None = None
         self._job_of: dict[int, Job] = {}  # id(TableJob) -> Job
+        # id(TableJob) -> ((priority, tenant), (deadline, job seq, index)):
+        # within a group, earliest deadline, then oldest job, then table
+        # order; groups are ranked live by _rank.
+        self._key_of: dict[int, tuple[tuple, tuple]] = {}
+        self.ready = ReadyQueues(self._dispatch_key, self._rank)
         self._tenant_served: dict[str, int] = {}
         self._streamed_ids: dict[int, set[int]] = {}  # id(Job) -> ids streamed
 
     # ------------------------------------------------------------------
     # JobSource protocol (called with the condition held)
     # ------------------------------------------------------------------
-    def pending(self) -> list[TableJob]:
+    def _dispatch_key(self, table_job: TableJob) -> tuple[tuple, tuple]:
+        return self._key_of[id(table_job)]
+
+    def _rank(self, group: tuple) -> tuple:
+        """Fairness order of a (priority, tenant) group: priority first,
+        then the tenant that has been served the fewest stages."""
+        priority, tenant = group
+        return (-priority, self._tenant_served.get(tenant, 0))
+
+    def poll(self) -> None:
         now = time.monotonic()
         for job in list(self.active):
             if (
@@ -167,18 +181,6 @@ class _ServiceSource:
                 and job.deadline_passed(now)
             ):
                 self._expire(job)
-        entries: list[tuple[tuple, TableJob]] = []
-        for job in self.active:
-            served = self._tenant_served.get(job.tenant, 0)
-            urgency = job.deadline_at if job.deadline_at is not None else float("inf")
-            for index, table_job in enumerate(job.table_jobs):
-                if table_job.done:
-                    continue
-                entries.append(
-                    ((-job.priority, served, urgency, job.seq, index), table_job)
-                )
-        entries.sort(key=lambda entry: entry[0])
-        return [table_job for _, table_job in entries]
 
     def finished(self) -> bool:
         return self.stopping and not self.active
@@ -254,6 +256,8 @@ class _ServiceSource:
                 continue
             if job.is_running(table_job):
                 continue  # its current stage finishes; completion degrades it
+            with self.condition:  # re-entrant: callers hold it already
+                self.ready.discard(table_job)
             self._give_up_expired(table_job)
             self._stream(job, table_job)
         self._maybe_finalize(job)
@@ -283,6 +287,7 @@ class _ServiceSource:
             self._streamed_ids.pop(id(job), None)
             for table_job in job.table_jobs:
                 self._job_of.pop(id(table_job), None)
+                self._key_of.pop(id(table_job), None)
             self.condition.notify_all()
 
     # ------------------------------------------------------------------
@@ -306,8 +311,13 @@ class _ServiceSource:
                     reason="queue",
                 )
             self.active.append(job)
-            for table_job in job.table_jobs:
+            group = (job.priority, job.tenant)
+            urgency = job.deadline_at if job.deadline_at is not None else float("inf")
+            now = time.perf_counter()
+            for index, table_job in enumerate(job.table_jobs):
                 self._job_of[id(table_job)] = job
+                self._key_of[id(table_job)] = (group, (urgency, job.seq, index))
+                self.ready.push(table_job, now)
             self.condition.notify_all()
 
     def cancel(self, job: Job) -> bool:
@@ -317,6 +327,7 @@ class _ServiceSource:
             job.cancel_requested = True
             for table_job in job.table_jobs:
                 if not table_job.done and not job.is_running(table_job):
+                    self.ready.discard(table_job)
                     table_job.completed_stages = table_job.num_stages
             self._service.metrics.counter("serve.cancelled", tenant=job.tenant).inc()
             self._maybe_finalize(job)

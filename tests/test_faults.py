@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 import warnings
 
 import pytest
@@ -282,6 +283,31 @@ class TestFaultRules:
 
         assert fired_sequence() == fired_sequence()
 
+    def test_probabilistic_draws_independent_of_call_order(self, server):
+        """Which calls fault is a property of each table's own calls, not of
+        the order concurrent workers reach the injector in."""
+
+        def outcomes(names):
+            plan = FaultPlan(
+                seed=9, rules=(FaultRule("fetch_metadata", "transient", probability=0.5),)
+            )
+            connection = plan.build(metrics=MetricsRegistry()).connect(server)
+            fired = {}
+            for name in names:
+                for _ in range(2):  # a retry draws that table's next outcome
+                    try:
+                        connection.fetch_metadata(name)
+                        fired.setdefault(name, []).append(False)
+                    except TransientDBError:
+                        fired.setdefault(name, []).append(True)
+            return fired
+
+        names = server.database.table_names()
+        forward, backward = outcomes(names), outcomes(names[::-1])
+        assert forward == backward
+        assert any(any(calls) for calls in forward.values())
+        assert not all(all(calls) for calls in forward.values())
+
     def test_injected_metric_labelled_by_kind(self, server):
         metrics = MetricsRegistry()
         plan = FaultPlan(rules=(FaultRule("fetch_metadata", "transient", max_faults=2),))
@@ -291,6 +317,80 @@ class TestFaultRules:
                 connection.fetch_metadata(server.database.table_names()[0])
         assert metrics.counter("faults.injected", kind="transient").value == 2
         assert metrics.counter("faults.injected", kind="drop").value == 0
+
+
+class TestSharedFaultyConnection:
+    """The prep workers of one detect() share one fault-wrapped connection."""
+
+    def test_call_on_connection_dropped_by_another_thread_is_retryable(self, server):
+        first, second = server.database.table_names()[:2]
+        second_dropped = threading.Event()
+
+        class PausingInjector(FaultInjector):
+            # Holds the first table's call between taking the live
+            # connection and using it, until the second table's call has
+            # dropped that connection.
+            def before(self, operation, table, cost_model, scale=1):
+                super().before(operation, table, cost_model, scale)
+                if operation == "fetch_metadata" and table == first:
+                    assert second_dropped.wait(timeout=10.0)
+
+        plan = FaultPlan(rules=(FaultRule("fetch_metadata", "drop", tables=(second,)),))
+        connection = PausingInjector(plan, metrics=MetricsRegistry()).connect(server)
+        errors = []
+
+        def fetch_first():
+            try:
+                connection.fetch_metadata(first)
+            except Exception as error:  # recorded for the assertion below
+                errors.append(error)
+
+        thread = threading.Thread(target=fetch_first)
+        thread.start()
+        with pytest.raises(ConnectionDroppedError):
+            connection.fetch_metadata(second)
+        second_dropped.set()
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and isinstance(errors[0], ConnectionDroppedError)
+        # The retry reconnects once and goes through.
+        assert connection.fetch_metadata(first).name == first
+        assert connection.reconnects == 1
+
+    def test_concurrent_reconnects_open_one_connection(self, server):
+        class SlowConnectInjector(FaultInjector):
+            # A slow reconnect: every waiting thread arrives while it runs.
+            def before(self, operation, table, cost_model, scale=1):
+                super().before(operation, table, cost_model, scale)
+                if operation == "connect":
+                    time.sleep(0.05)
+
+        plan = FaultPlan(rules=(FaultRule("fetch_values", "drop", max_faults=1),))
+        connection = SlowConnectInjector(plan, metrics=MetricsRegistry()).connect(server)
+        table = server.database.table_names()[0]
+        column = connection.fetch_metadata(table).columns[0].column_name
+        with pytest.raises(ConnectionDroppedError):
+            connection.fetch_values(table, [column], limit=1)
+        opened = server.ledger.connections_opened
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def fetch():
+            barrier.wait(timeout=10.0)
+            try:
+                connection.fetch_metadata(table)
+            except Exception as error:  # recorded for the assertion below
+                errors.append(error)
+
+        threads = [threading.Thread(target=fetch) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert connection.reconnects == 1
+        assert server.ledger.connections_opened == opened + 1
 
 
 # ---------------------------------------------------------------------------

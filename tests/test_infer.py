@@ -256,16 +256,20 @@ class TestEndToEnd:
             rules=(FaultRule("fetch_values", "transient", probability=0.4),),
         )
         reports = {}
-        for fast in (False, True):
-            server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
-            # Sequential: a probabilistic rule's draws go to whichever call
-            # reaches the injector first, so under the pipelined executor
-            # the table that exhausts its retries varies run to run.
-            detector = _make_detector(trained_model, featurizer, fast, pipelined=False)
-            reports[fast] = detector.detect(
-                server, options=DetectOptions(fault_plan=plan)
-            )
-        assert _report_bytes(reports[True]) == _report_bytes(reports[False])
+        # Fault draws are keyed per table call, so the pipelined executor
+        # faults the same calls as the sequential one.
+        for pipelined in (False, True):
+            for fast in (False, True):
+                server = CloudDatabaseServer.from_tables(tiny_corpus.test, FAST)
+                detector = _make_detector(trained_model, featurizer, fast, pipelined)
+                report = detector.detect(server, options=DetectOptions(fault_plan=plan))
+                reports[pipelined, fast] = (
+                    _report_bytes(report),
+                    sorted((t.table_name, t.degraded, t.failed, t.retries) for t in report.tables),
+                )
+        expected = reports[False, False]
+        assert all(report == expected for report in reports.values())
+        assert any(degraded for _, degraded, _, _ in expected[1])
 
     def test_serve_bitwise_infer_vs_reference(self, trained_model, featurizer, tiny_corpus):
         names = [table.name for table in tiny_corpus.test[:6]]

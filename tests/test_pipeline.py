@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
 import pytest
 
 from repro.core import PipelinedExecutor, SequentialExecutor
+from repro.core.pipeline import ReadyQueues
 from repro.obs import MetricsRegistry
 
 
@@ -24,6 +26,7 @@ class FakeJob:
         self.delay = delay
         self.fail_at = fail_at
         self.completed_stages = 0
+        self.kind_calls = 0
 
     @property
     def num_stages(self) -> int:
@@ -34,6 +37,7 @@ class FakeJob:
         return self.completed_stages >= 4
 
     def next_stage_kind(self):
+        self.kind_calls += 1
         return None if self.done else self.STAGE_KINDS[self.completed_stages]
 
     def run_next_stage(self) -> None:
@@ -59,6 +63,57 @@ def make_jobs():
         return jobs, log
 
     return factory
+
+
+class RecordingSource:
+    """A one-shot JobSource over a fixed job list that counts every call
+    into it and records, for each dispatch, whether the dispatched job was
+    the first eligible one of that kind in list order."""
+
+    def __init__(self, jobs: list[FakeJob]):
+        self.condition = threading.Condition()
+        self.jobs = jobs
+        position = {id(job): index for index, job in enumerate(jobs)}
+        self.ready = ReadyQueues(lambda job: (None, position[id(job)]))
+        now = time.perf_counter()
+        for job in jobs:
+            self.ready.push(job, now)
+        self.running: set[int] = set()
+        self.calls = 0
+        self.first_eligible: list[bool] = []
+
+    def poll(self):
+        self.calls += 1
+
+    def finished(self):
+        self.calls += 1
+        return True
+
+    def aborted(self):
+        self.calls += 1
+        return False
+
+    def note_dispatch(self, job, kind):
+        self.calls += 1
+        # Algorithm 1 lines 8-19, evaluated from scratch on the job list
+        # (without next_stage_kind(), so the call counts stay the loop's).
+        first = next(
+            candidate
+            for candidate in self.jobs
+            if id(candidate) not in self.running
+            and not candidate.done
+            and FakeJob.STAGE_KINDS[candidate.completed_stages] == kind
+        )
+        self.first_eligible.append(job is first)
+        self.running.add(id(job))
+
+    def note_stage_complete(self, job):
+        self.calls += 1
+        self.running.discard(id(job))
+
+    def note_stage_error(self, job, error):
+        self.calls += 1
+        self.running.discard(id(job))
 
 
 class TestSequentialExecutor:
@@ -150,3 +205,62 @@ class TestPipelinedExecutor:
         pipelined_time = time.perf_counter() - started
 
         assert pipelined_time < sequential_time
+
+    def test_dispatches_first_eligible_stage_in_source_order(self, make_jobs):
+        jobs, _ = make_jobs(12)
+        rng = random.Random(5)
+        for job in jobs:
+            job.delay = rng.choice((0.0, 0.001, 0.004))
+        source = RecordingSource(jobs)
+        PipelinedExecutor(3, 2).run_source(source, metrics=MetricsRegistry())
+        assert all(job.done for job in jobs)
+        assert len(source.first_eligible) == 4 * len(jobs)
+        assert all(source.first_eligible)
+
+    @pytest.mark.parametrize("count", [50, 400])
+    def test_dispatch_work_is_linear_in_stages(self, make_jobs, count):
+        """Each stage costs the loop O(1) job and source calls: no pass
+        over the job list per wakeup."""
+        jobs, _ = make_jobs(count)
+        source = RecordingSource(jobs)
+        registry = MetricsRegistry()
+        PipelinedExecutor(2, 2).run_source(source, metrics=registry)
+        stages = 4 * count
+        assert all(job.done for job in jobs)
+        assert sum(job.kind_calls for job in jobs) == stages
+        wakeups = registry.counter("pipeline.wakeups").value
+        assert wakeups <= stages
+        # aborted + poll + finished per wakeup (and the first pass), plus
+        # one dispatch and one completion note per stage.
+        assert source.calls <= 3 * (wakeups + 1) + 2 * stages
+
+
+class TestReadyQueues:
+    def test_group_rank_is_read_at_pop_time(self, make_jobs):
+        jobs, _ = make_jobs(4)
+        served = {"a": 0, "b": 0}
+        groups = {id(jobs[0]): "a", id(jobs[1]): "a", id(jobs[2]): "b", id(jobs[3]): "b"}
+        queues = ReadyQueues(
+            lambda job: (groups[id(job)], (jobs.index(job),)),
+            rank=lambda group: (served[group],),
+        )
+        for job in jobs:
+            queues.push(job, 0.0)
+        order = []
+        while (popped := queues.pop("prep")) is not None:
+            job, _ = popped
+            order.append(job.name)
+            served[groups[id(job)]] += 1
+        # Least-served group first, then list order within a group.
+        assert order == ["t0", "t2", "t1", "t3"]
+
+    def test_discarded_job_is_skipped_and_uncounted(self, make_jobs):
+        jobs, _ = make_jobs(3)
+        queues = ReadyQueues(lambda job: (None, jobs.index(job)))
+        for job in jobs:
+            queues.push(job, 0.0)
+        queues.discard(jobs[0])
+        assert queues.count("prep") == 2
+        assert queues.pop("prep")[0] is jobs[1]
+        assert queues.count("prep") == 1
+        assert queues.pop("infer") is None
